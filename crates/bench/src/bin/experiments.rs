@@ -21,8 +21,8 @@
 //!
 //! `scale` is the E14 scale-tier experiment: 10^5-node graphs (10^6 with
 //! `FTSPAN_LONG_TESTS=1`) across four families, measuring parallel
-//! construction speedup, two-level-sharding memory per edge, and query
-//! throughput, and merging the `scale_build` / `mem_bytes_per_edge` /
+//! construction speedup, then single-vs-flat-sharded memory per edge and
+//! query throughput, and merging the `scale_build` / `mem_bytes_per_edge` /
 //! `scale_query` series into `BENCH_oracle.json`. `scale quick` is the
 //! reduced-n CI smoke: it prints the table but leaves the recorded
 //! trajectory file untouched.
@@ -1611,7 +1611,7 @@ fn experiment_shard() {
 }
 
 /// E14 — the scale tier: parallel construction throughput across four
-/// graph families, then two-level sharding vs flat sharding (memory per
+/// graph families, then the single oracle vs flat sharding (memory per
 /// edge and batch query throughput) on the moderate-diameter headline
 /// workload. Full mode (10^5 nodes; 10^6 with `FTSPAN_LONG_TESTS=1`)
 /// merges the `scale_build`, `mem_bytes_per_edge`, and `scale_query`
@@ -1620,7 +1620,7 @@ fn experiment_shard() {
 fn experiment_scale(quick: bool) {
     use ftspan::FaultSet;
     use ftspan_oracle::{
-        HierarchicalOptions, HierarchicalOracle, Query, ShardPlan, ShardPlanOptions, ShardedOracle,
+        FaultOracle, Query, ShardPlan, ShardPlanOptions, ShardedOptions, ShardedOracle,
     };
 
     let long = std::env::var("FTSPAN_LONG_TESTS").is_ok_and(|v| v == "1");
@@ -1640,7 +1640,7 @@ fn experiment_scale(quick: bool) {
     // parallel batches beat the sequential sweep.
     let params = SpannerParams::vertex(2, 2);
 
-    println!("\n## E14 — Scale tier: parallel construction and two-level sharding\n");
+    println!("\n## E14 — Scale tier: parallel construction and flat sharding\n");
     println!(
         "(mode: {}, sizes: {sizes:?}, {threads} construction threads)\n",
         if quick { "quick" } else { "full" }
@@ -1740,38 +1740,21 @@ fn experiment_scale(quick: bool) {
          the measured decide/commit split supports on a full 8-core host)\n"
     );
 
-    // Two-level vs flat sharding on the headline grid: same spanner, same
-    // leaf plan, so the deltas isolate the hierarchy itself.
+    // Single oracle vs flat sharding on the headline grid: same spanner and
+    // oracle options, so the deltas isolate the sharding itself.
     let (graph, spanner) = headline.expect("grid family always runs");
     let n = graph.vertex_count();
     let m = graph.edge_count();
-    let leaves = if quick { 16 } else { 64 };
+    let shards = if quick { 16 } else { 64 };
     let plan_options = ShardPlanOptions {
-        shards: leaves,
+        shards,
         ..ShardPlanOptions::default()
     };
-    let leaf_plan = ShardPlan::build(&graph, &plan_options);
-    let hier_options = HierarchicalOptions {
+    let plan = ShardPlan::build(&graph, &plan_options);
+    let flat_options = ShardedOptions {
         plan: plan_options,
-        ..HierarchicalOptions::default()
+        ..ShardedOptions::default()
     };
-    let (flat, flat_secs) = timed(|| {
-        ShardedOracle::from_result(
-            graph.clone(),
-            spanner.result.clone(),
-            leaf_plan.clone(),
-            hier_options.flat(),
-        )
-    });
-    let (hier, hier_secs) = timed(|| {
-        HierarchicalOracle::from_result(
-            graph.clone(),
-            spanner.result.clone(),
-            leaf_plan,
-            hier_options,
-        )
-    });
-
     // Locality-biased traffic (the sharded-deployment shape, as in E13):
     // every pair within 8 hops, over a pool of hot fault sets.
     let batch_size = 2_000;
@@ -1800,22 +1783,36 @@ fn experiment_scale(quick: bool) {
             })
             .collect()
     };
+    // The backends run one after the other: the single oracle's warm tree
+    // cache (one O(n) tree per distinct source) is freed before the flat
+    // oracle builds its own, so the run never holds both.
+    let (single, single_secs) = timed(|| {
+        FaultOracle::from_result(
+            graph.clone(),
+            spanner.result.clone(),
+            flat_options.oracle.clone(),
+        )
+    });
+    let _ = single.answer_batch(&queries); // warm
+    let (single_answers, single_query_secs) = timed(|| single.answer_batch(&queries));
+    let single_bpe = single.memory_bytes() as f64 / m as f64;
+    drop(single);
+    let (flat, flat_secs) = timed(|| {
+        ShardedOracle::from_result(graph.clone(), spanner.result.clone(), plan, flat_options)
+    });
     let _ = flat.answer_batch(&queries); // warm
     let (flat_answers, flat_query_secs) = timed(|| flat.answer_batch(&queries));
-    let _ = hier.answer_batch(&queries); // warm
-    let (hier_answers, hier_query_secs) = timed(|| hier.answer_batch(&queries));
-    for (f, h) in flat_answers.iter().zip(&hier_answers) {
+    for (s, f) in single_answers.iter().zip(&flat_answers) {
         assert_eq!(
-            f.distance(),
-            h.distance(),
-            "hierarchical answers must be bit-identical to flat sharding"
+            s.distance().map(f64::to_bits),
+            f.distance().map(f64::to_bits),
+            "flat sharded answers must be bit-identical to the single oracle"
         );
     }
+    let single_qps = batch_size as f64 / single_query_secs;
     let flat_qps = batch_size as f64 / flat_query_secs;
-    let hier_qps = batch_size as f64 / hier_query_secs;
     let flat_bpe = flat.memory_bytes() as f64 / m as f64;
-    let hier_bpe = hier.memory_bytes() as f64 / m as f64;
-    let hier_snapshot = hier.metrics().snapshot();
+    let flat_snapshot = flat.metrics().snapshot();
     println!(
         "{}",
         markdown_table(
@@ -1829,6 +1826,14 @@ fn experiment_scale(quick: bool) {
             ],
             &[
                 vec![
+                    "single".into(),
+                    "1".into(),
+                    "0".into(),
+                    format!("{single_secs:.1}"),
+                    format!("{single_bpe:.0}"),
+                    format!("{single_qps:.0}"),
+                ],
+                vec![
                     "flat sharded".into(),
                     flat.shard_count().to_string(),
                     flat.boundary().adjacent_pairs().len().to_string(),
@@ -1836,24 +1841,16 @@ fn experiment_scale(quick: bool) {
                     format!("{flat_bpe:.0}"),
                     format!("{flat_qps:.0}"),
                 ],
-                vec![
-                    format!("hier {}x{}", hier.super_count(), hier.leaf_count()),
-                    hier.leaf_count().to_string(),
-                    hier.boundary().adjacent_pairs().len().to_string(),
-                    format!("{hier_secs:.1}"),
-                    format!("{hier_bpe:.0}"),
-                    format!("{hier_qps:.0}"),
-                ],
             ]
         )
     );
     println!(
         "(headline grid n = {n}, m = {m}; construction {:.0} -> {:.0} edges/s at {threads} \
-         threads; hierarchical locality {:.1}%, distances bit-identical to flat on all \
+         threads; flat sharded locality {:.1}%, distances bit-identical to single on all \
          {batch_size} queries)",
         spanner.seq_edges_per_sec,
         spanner.par_edges_per_sec,
-        100.0 * hier_snapshot.locality_rate(),
+        100.0 * flat_snapshot.locality_rate(),
     );
 
     if quick {
@@ -1867,8 +1864,8 @@ fn experiment_scale(quick: bool) {
             spanner.seq_edges_per_sec,
             spanner.par_edges_per_sec,
         ),
-        ("mem_bytes_per_edge", "bytes/edge", flat_bpe, hier_bpe),
-        ("scale_query", "queries/s", flat_qps, hier_qps),
+        ("mem_bytes_per_edge", "bytes/edge", single_bpe, flat_bpe),
+        ("scale_query", "queries/s", single_qps, flat_qps),
     ]
     .into_iter()
     .map(|(name, unit, before, after)| {

@@ -23,7 +23,6 @@ use std::thread;
 use ftspan_graph::dijkstra::{DijkstraScratch, ShortestPathTree};
 
 use crate::cache::KeyRef;
-use crate::hierarchy::HierarchicalOracle;
 use crate::oracle::FaultOracle;
 use crate::query::{Answer, Query};
 use crate::shard::{Route, ShardedOracle};
@@ -275,81 +274,6 @@ impl ShardedOracle {
     }
 }
 
-impl HierarchicalOracle {
-    /// Answers a batch of queries, returning answers in request order —
-    /// identical answers to [`FaultOracle::answer_batch`] and
-    /// [`ShardedOracle::answer_batch`] on the same spanner, routed through
-    /// the two-level hierarchy.
-    ///
-    /// Same shape as the flat sharded batch: queries grouped by
-    /// `(leaf route, fault set)`, pair regions prematerialized, groups
-    /// work-stolen by a pool writing into disjoint output windows.
-    #[must_use]
-    pub fn answer_batch(&self, queries: &[Query]) -> Vec<Answer> {
-        self.metrics().record_batch();
-        if queries.is_empty() {
-            return Vec::new();
-        }
-
-        let mut by_group: HashMap<(Route, u64), Vec<usize>> = HashMap::new();
-        let mut pairs: HashSet<(u32, u32)> = HashSet::new();
-        for (idx, query) in queries.iter().enumerate() {
-            let route = self.route(query.u, query.v);
-            if let Route::Pair(a, b) = route {
-                pairs.insert((a, b));
-            }
-            let fp = KeyRef::new(0, &query.faults).fingerprint();
-            by_group.entry((route, fp)).or_default().push(idx);
-        }
-        for (a, b) in pairs {
-            let _ = self.pair_region(a, b);
-        }
-        let groups: Vec<(Route, Vec<usize>)> = by_group
-            .into_iter()
-            .map(|((route, _), idxs)| (route, idxs))
-            .collect();
-
-        let workers = self.global().effective_workers(groups.len());
-        let mut grouped: Vec<Option<Answer>> = Vec::with_capacity(queries.len());
-        grouped.resize_with(queries.len(), || None);
-
-        if workers <= 1 {
-            let mut scratch = DijkstraScratch::new();
-            let mut out = grouped.iter_mut();
-            for (_, idxs) in &groups {
-                for &idx in idxs {
-                    let slot = out.next().expect("buffer sized to the batch");
-                    *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
-                }
-            }
-        } else {
-            let cursor = AtomicUsize::new(0);
-            let windows = split_windows(&mut grouped, &groups);
-            thread::scope(|scope| {
-                for _ in 0..workers {
-                    scope.spawn(|| {
-                        let mut scratch = DijkstraScratch::new();
-                        loop {
-                            let g = cursor.fetch_add(1, Ordering::Relaxed);
-                            let Some((_, idxs)) = groups.get(g) else {
-                                break;
-                            };
-                            let mut window =
-                                windows[g].lock().expect("batch output window poisoned");
-                            for (slot, &idx) in window.iter_mut().zip(idxs) {
-                                *slot = Some(self.answer_with_scratch(&queries[idx], &mut scratch));
-                            }
-                        }
-                    });
-                }
-            });
-            drop(windows);
-        }
-
-        scatter(grouped, &groups, queries.len())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -499,38 +423,6 @@ mod tests {
             }
             assert_eq!(sharded.metrics().snapshot().queries, 150);
         }
-    }
-
-    #[test]
-    fn hierarchical_batch_matches_single_oracle_batch() {
-        let single = oracle_with_workers(4, 64);
-        let mut rng = StdRng::seed_from_u64(31);
-        let graph = generators::connected_gnp(30, 0.25, &mut rng);
-        let deep = crate::HierarchicalOracle::build(
-            graph,
-            SpannerParams::vertex(2, 1),
-            crate::HierarchicalOptions {
-                plan: crate::ShardPlanOptions {
-                    shards: 4,
-                    ..crate::ShardPlanOptions::default()
-                },
-                super_shards: 2,
-                oracle: OracleOptions {
-                    workers: 4,
-                    ..OracleOptions::default()
-                },
-                ..crate::HierarchicalOptions::default()
-            },
-        );
-        let queries = mixed_batch(150, 30, 12);
-        let a = single.answer_batch(&queries);
-        let b = deep.answer_batch(&queries);
-        assert_eq!(a.len(), b.len());
-        for ((query, x), y) in queries.iter().zip(&a).zip(&b) {
-            assert_eq!(x.distance, y.distance, "{query:?}");
-        }
-        assert_eq!(deep.metrics().snapshot().queries, 150);
-        assert!(deep.answer_batch(&[]).is_empty());
     }
 
     #[test]

@@ -147,8 +147,7 @@ impl BoundaryIndex {
     }
 
     /// Heap bytes held by the index: cut edges, per-pair buckets, portal
-    /// lists and the portal bitmap. This is the number the scale tier keeps
-    /// sub-linear by building the index over super-shards only.
+    /// lists and the portal bitmap.
     #[must_use]
     pub fn memory_bytes(&self) -> usize {
         let mut bytes = self.cut_edges.capacity() * std::mem::size_of::<CutEdge>()

@@ -599,9 +599,9 @@ impl ShardedOracle {
                 .lock()
                 .expect("pair region cache poisoned");
             for region in pairs.values() {
-                // A pair interned to a leaf region stays live through the
-                // leaf's handle (and a leaf already folded above must not be
-                // folded twice): only genuinely retired allocations count.
+                // A pair interned to a shard region stays live through the
+                // shard's handle (and a shard already folded above must not
+                // be folded twice): only genuinely retired allocations count.
                 let ptr = std::sync::Arc::as_ptr(region);
                 if folded.contains(&ptr)
                     || self

@@ -81,7 +81,6 @@ pub mod boundary;
 pub mod cache;
 pub mod chaos;
 pub mod churn;
-pub mod hierarchy;
 pub mod metrics;
 mod oracle;
 pub mod query;
@@ -95,7 +94,6 @@ pub mod traits;
 pub use boundary::{BoundaryIndex, CutEdge};
 pub use cache::{CacheKey, TreeCache};
 pub use churn::{ChurnConfig, ShardWaveOutcome, WaveOutcome, WaveReport};
-pub use hierarchy::{HierarchicalOptions, HierarchicalOracle, HierarchyWaveOutcome};
 pub use metrics::{LocalitySplit, MetricsSnapshot, OracleMetrics, ServiceMetrics};
 pub use oracle::{FaultOracle, OracleOptions};
 pub use query::{Answer, Query, QueryKind};

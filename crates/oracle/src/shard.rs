@@ -219,7 +219,7 @@ pub(crate) struct Region {
     pub(crate) remap: IdRemap,
     /// Local ids of the vertices with global spanner edges leaving the
     /// region — the only places a path can escape through.
-    pub(crate) frontier: Vec<VertexId>,
+    frontier: Vec<VertexId>,
     /// Signature of the region's members and induced edges, used by the
     /// churn fan-out to decide whether a wave touched this region.
     pub(crate) signature: u64,
@@ -280,7 +280,7 @@ impl Region {
 
     /// Heap bytes held by the region: its local oracle (graphs plus tree
     /// cache), the paged id remap, and the frontier list.
-    pub(crate) fn memory_bytes(&self) -> usize {
+    fn memory_bytes(&self) -> usize {
         self.oracle.memory_bytes()
             + self.remap.memory_bytes()
             + self.frontier.capacity() * std::mem::size_of::<VertexId>()
@@ -318,7 +318,7 @@ impl Region {
     /// Returns `Some` only when the escape certificate proves the local
     /// answer equals the global one; `None` sends the caller to the global
     /// fallback.
-    pub(crate) fn try_answer(
+    fn try_answer(
         &self,
         u: VertexId,
         v: VertexId,
@@ -455,17 +455,17 @@ pub struct ShardedMetrics {
 }
 
 impl ShardedMetrics {
-    pub(crate) fn record_local(&self) {
+    fn record_local(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.local.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_stitched(&self) {
+    fn record_stitched(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.stitched.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_global_fallback(&self) {
+    fn record_global_fallback(&self) {
         self.queries.fetch_add(1, Ordering::Relaxed);
         self.global_fallbacks.fetch_add(1, Ordering::Relaxed);
     }
@@ -962,7 +962,7 @@ pub(crate) fn shard_namespace(shard: usize) -> u64 {
 
 /// Cache namespace of a pair region, disjoint from every shard namespace
 /// for any realistic shard count.
-pub(crate) fn pair_namespace(a: u32, b: u32) -> u64 {
+fn pair_namespace(a: u32, b: u32) -> u64 {
     (u64::from(a) + 1) << 32 | (u64::from(b) + 1)
 }
 

@@ -32,12 +32,12 @@
 //! checksum u64 (FNV-1a-64 of payload) · payload
 //! ```
 //!
-//! `kind` is `0` for a [`FaultOracle`], `1` for a [`ShardedOracle`], `2`
-//! for a [`HierarchicalOracle`]. The
-//! version is bumped on any payload layout change; [`Snapshot::restore`]
-//! rejects unknown versions, foreign magic, checksum mismatches, and
-//! snapshots of the wrong kind with a typed [`SnapshotError`] — never a
-//! panic, since these bytes cross process boundaries.
+//! `kind` is `0` for a [`FaultOracle`] and `1` for a [`ShardedOracle`];
+//! any other tag is an unknown kind. The version is bumped on any payload
+//! layout change; [`Snapshot::restore`] rejects unknown versions, unknown
+//! kinds, foreign magic, checksum mismatches, and snapshots of the wrong
+//! kind with a typed [`SnapshotError`] — never a panic, since these bytes
+//! cross process boundaries.
 //!
 //! ```
 //! use ftspan::SpannerParams;
@@ -63,7 +63,6 @@ use ftspan_graph::{vid, Graph, VertexId};
 
 use crate::boundary::BoundaryIndex;
 use crate::cache::TreeCache;
-use crate::hierarchy::{leaf_namespace, HierarchicalOptions, HierarchicalOracle};
 use crate::metrics::OracleMetrics;
 use crate::oracle::{FaultOracle, OracleOptions};
 use crate::shard::{
@@ -146,8 +145,6 @@ pub enum SnapshotKind {
     Single,
     /// A [`ShardedOracle`].
     Sharded,
-    /// A [`HierarchicalOracle`].
-    Hierarchical,
 }
 
 impl SnapshotKind {
@@ -155,7 +152,6 @@ impl SnapshotKind {
         match self {
             Self::Single => 0,
             Self::Sharded => 1,
-            Self::Hierarchical => 2,
         }
     }
 
@@ -163,7 +159,6 @@ impl SnapshotKind {
         match tag {
             0 => Ok(Self::Single),
             1 => Ok(Self::Sharded),
-            2 => Ok(Self::Hierarchical),
             tag => Err(SnapshotError::UnknownKind { tag }),
         }
     }
@@ -175,12 +170,11 @@ mod sealed {
     pub trait Sealed {}
     impl Sealed for crate::oracle::FaultOracle {}
     impl Sealed for crate::shard::ShardedOracle {}
-    impl Sealed for crate::hierarchy::HierarchicalOracle {}
 }
 
 /// An oracle backend that can be captured into and restored from snapshot
-/// bytes. Sealed: implemented by [`FaultOracle`], [`ShardedOracle`], and
-/// [`HierarchicalOracle`] only.
+/// bytes. Sealed: implemented by [`FaultOracle`] and [`ShardedOracle`]
+/// only.
 pub trait Snapshottable: sealed::Sealed + Sized {
     /// The kind tag written into the snapshot header.
     #[doc(hidden)]
@@ -522,167 +516,6 @@ impl Snapshottable for ShardedOracle {
     }
 }
 
-impl Snapshottable for HierarchicalOracle {
-    const KIND: SnapshotKind = SnapshotKind::Hierarchical;
-
-    fn encode_payload(&self, w: &mut WireWriter) {
-        self.global.encode_payload(w);
-        w.put_len(self.leaf_plan.vertex_count());
-        for i in 0..self.leaf_plan.vertex_count() {
-            w.put_u32(self.leaf_plan.shard_of(vid(i)));
-        }
-        w.put_len(self.super_of_leaf.len());
-        for &s in &self.super_of_leaf {
-            w.put_u32(s);
-        }
-        w.put_len(self.options.plan.shards);
-        w.put_u64(self.options.plan.seed);
-        w.put_f64(self.options.plan.beta);
-        w.put_len(self.options.plan.partitions);
-        w.put_len(self.options.super_shards);
-        match self.options.halo_radius {
-            None => w.put_u8(0),
-            Some(radius) => {
-                w.put_u8(1);
-                w.put_u32(radius);
-            }
-        }
-        encode_oracle_options(&self.options.oracle, w);
-        w.put_u32(self.halo_radius);
-        w.put_len(self.leaf_epochs.len());
-        for &e in &self.leaf_epochs {
-            w.put_u64(e);
-        }
-    }
-
-    fn decode_payload(r: &mut WireReader<'_>) -> Result<Self, SnapshotError> {
-        let global = FaultOracle::decode_payload(r)?;
-        let n = r.len(4)?;
-        if n != global.graph.vertex_count() {
-            return Err(WireError::malformed(format!(
-                "leaf plan covers {n} vertices, graph has {}",
-                global.graph.vertex_count()
-            ))
-            .into());
-        }
-        let mut shard_of = Vec::with_capacity(n);
-        for _ in 0..n {
-            shard_of.push(r.u32()?);
-        }
-        let leaf_plan = ShardPlan::from_shard_of(shard_of);
-        let leaf_count = r.len(4)?;
-        if leaf_count != leaf_plan.shard_count() {
-            return Err(WireError::malformed(format!(
-                "{leaf_count} super assignments for {} leaves",
-                leaf_plan.shard_count()
-            ))
-            .into());
-        }
-        let mut super_of_leaf = Vec::with_capacity(leaf_count);
-        for _ in 0..leaf_count {
-            super_of_leaf.push(r.u32()?);
-        }
-        let options = HierarchicalOptions {
-            plan: ShardPlanOptions {
-                shards: r.len(0)?,
-                seed: r.u64()?,
-                beta: r.f64()?,
-                partitions: r.len(0)?,
-            },
-            super_shards: r.len(0)?,
-            halo_radius: match r.u8()? {
-                0 => None,
-                1 => Some(r.u32()?),
-                tag => {
-                    return Err(
-                        WireError::malformed(format!("unknown halo radius tag {tag}")).into(),
-                    )
-                }
-            },
-            oracle: decode_oracle_options(r)?,
-        };
-        let halo_radius = r.u32()?;
-        let epoch_count = r.len(8)?;
-        if epoch_count != leaf_plan.shard_count() {
-            return Err(WireError::malformed(format!(
-                "{epoch_count} leaf epochs for {} leaves",
-                leaf_plan.shard_count()
-            ))
-            .into());
-        }
-        let mut leaf_epochs = Vec::with_capacity(epoch_count);
-        for _ in 0..epoch_count {
-            leaf_epochs.push(r.u64()?);
-        }
-
-        // Derived state, rebuilt exactly as `HierarchicalOracle::from_result`
-        // builds it: the vertex-level super plan composed from the leaf plan,
-        // the level-2 boundary over it, and the interned leaf regions.
-        let super_of_vertex: Vec<u32> = (0..leaf_plan.vertex_count())
-            .map(|i| {
-                super_of_leaf
-                    .get(leaf_plan.shard_of(vid(i)) as usize)
-                    .copied()
-                    .ok_or_else(|| WireError::malformed("leaf id out of super assignment range"))
-            })
-            .collect::<Result<_, _>>()?;
-        let super_plan = ShardPlan::from_shard_of(super_of_vertex);
-        let params = global.params;
-        let boundary = BoundaryIndex::build(&global.spanner, &super_plan);
-        let rebuild = |leaf: usize| {
-            let members = global
-                .spanner
-                .halo_members(leaf_plan.core(leaf), halo_radius);
-            Region::build(
-                &global.graph,
-                &global.spanner,
-                params,
-                &options.oracle,
-                leaf_namespace(leaf),
-                &members,
-            )
-        };
-        let rebuild = &rebuild;
-        let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-        let built: Vec<Region> = if cores > 1 && leaf_plan.shard_count() > 1 {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..leaf_plan.shard_count())
-                    .map(|s| scope.spawn(move || rebuild(s)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("region rebuild must not panic"))
-                    .collect()
-            })
-        } else {
-            (0..leaf_plan.shard_count()).map(rebuild).collect()
-        };
-        let mut regions: Vec<std::sync::Arc<Region>> = Vec::with_capacity(built.len());
-        for region in built {
-            let shared = regions
-                .iter()
-                .find(|r| r.remap.members() == region.remap.members())
-                .map(std::sync::Arc::clone);
-            regions.push(shared.unwrap_or_else(|| std::sync::Arc::new(region)));
-        }
-        Ok(Self {
-            global,
-            leaf_plan,
-            super_plan,
-            super_of_leaf,
-            boundary,
-            regions,
-            pair_regions: Mutex::new(HashMap::new()),
-            leaf_epochs,
-            halo_radius,
-            options,
-            metrics: ShardedMetrics::default(),
-            retired_cache_stats: (0, 0),
-            wave_bfs: ftspan_graph::bfs::BfsScratch::default(),
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -747,51 +580,6 @@ mod tests {
     }
 
     #[test]
-    fn hierarchical_oracle_round_trips_with_derived_state() {
-        let oracle = HierarchicalOracle::build(
-            workload(8),
-            SpannerParams::vertex(2, 1),
-            HierarchicalOptions {
-                super_shards: 2,
-                ..HierarchicalOptions::default()
-            },
-        );
-        let bytes = Snapshot::capture(&oracle);
-        assert_eq!(
-            Snapshot::peek_kind(&bytes).unwrap(),
-            SnapshotKind::Hierarchical
-        );
-        let restored: HierarchicalOracle = Snapshot::restore(&bytes).expect("restores");
-        assert_eq!(restored.leaf_count(), oracle.leaf_count());
-        assert_eq!(restored.super_count(), oracle.super_count());
-        assert_eq!(restored.leaf_epochs(), oracle.leaf_epochs());
-        for leaf in 0..oracle.leaf_count() {
-            assert_eq!(restored.super_of(leaf), oracle.super_of(leaf));
-            assert_eq!(restored.leaf_members(leaf), oracle.leaf_members(leaf));
-        }
-        assert_eq!(
-            restored.boundary().cut_edges().len(),
-            oracle.boundary().cut_edges().len()
-        );
-        // Restored answers are bit-identical, including across a churn wave
-        // applied to both copies.
-        let mut warm = restored;
-        let mut cold = oracle;
-        let wave = FaultSet::vertices([vid(7)]);
-        warm.apply_wave(&wave, &crate::ChurnConfig::default());
-        cold.apply_wave(&wave, &crate::ChurnConfig::default());
-        for (u, v) in [(0usize, 31usize), (3, 17), (12, 29)] {
-            for faults in [FaultSet::vertices([]), FaultSet::vertices([vid(4)])] {
-                assert_eq!(
-                    warm.distance(vid(u), vid(v), &faults).map(f64::to_bits),
-                    cold.distance(vid(u), vid(v), &faults).map(f64::to_bits)
-                );
-            }
-        }
-        assert_eq!(Snapshot::capture(&warm), Snapshot::capture(&cold));
-    }
-
-    #[test]
     fn peek_kind_reads_the_header_only() {
         let bytes = Snapshot::capture(&single(5));
         assert_eq!(Snapshot::peek_kind(&bytes).unwrap(), SnapshotKind::Single);
@@ -807,6 +595,25 @@ mod tests {
                 expected: SnapshotKind::Sharded,
                 found: SnapshotKind::Single,
             }
+        );
+    }
+
+    #[test]
+    fn unknown_kind_is_a_typed_error() {
+        let mut bytes = Snapshot::capture(&single(6));
+        // Header: magic (8) · version (4) · kind (1) · payload_len (8) ·
+        // checksum (8) · payload. Retag as kind 2 and rewrite the checksum
+        // so the kind byte is the only thing wrong with the bytes.
+        let kind_at = Snapshot::MAGIC.len() + 4;
+        bytes[kind_at] = 2;
+        let checksum_at = kind_at + 1 + 8;
+        let checksum = fnv1a64(&bytes[checksum_at + 8..]);
+        bytes[checksum_at..checksum_at + 8].copy_from_slice(&checksum.to_le_bytes());
+        let unknown = SnapshotError::UnknownKind { tag: 2 };
+        assert_eq!(Snapshot::peek_kind(&bytes).unwrap_err(), unknown);
+        assert_eq!(
+            Snapshot::restore::<FaultOracle>(&bytes).unwrap_err(),
+            unknown
         );
     }
 

@@ -3,7 +3,7 @@
 //! **indistinguishable** from the primary — bit-identical `f64` distances,
 //! identical witness paths (walk-validated against the replica's own
 //! spanner), and a byte-identical re-captured snapshot — across ≥20
-//! interleaved fault waves, on all three backends.
+//! interleaved fault waves, on both backends.
 //!
 //! The replica is deliberately allowed to *lag*: catch-up happens every
 //! few waves, in batches, through [`WaveJournal::entries_since`] — the
@@ -15,9 +15,9 @@ use ftspan::{sample_fault_set, FaultModel, FaultSet, SpannerParams};
 use ftspan_graph::{generators, vid};
 use ftspan_integration_tests::rng;
 use ftspan_oracle::{
-    ChurnConfig, FaultOracle, HierarchicalOptions, HierarchicalOracle, JournalEntry, OracleOptions,
-    OracleService, Query, Replica, ServiceConfig, ShardPlanOptions, ShardedOptions, ShardedOracle,
-    Snapshot, Snapshottable, SpannerOracle, TicketState, WaveJournal,
+    ChurnConfig, FaultOracle, JournalEntry, OracleOptions, OracleService, Query, Replica,
+    ServiceConfig, ShardPlanOptions, ShardedOptions, ShardedOracle, Snapshot, Snapshottable,
+    SpannerOracle, TicketState, WaveJournal,
 };
 use rand::rngs::StdRng;
 use rand::Rng;
@@ -184,21 +184,6 @@ fn sharded_backend_replica_matches_primary() {
     };
     let primary = ShardedOracle::build(graph, SpannerParams::vertex(2, 2), options);
     replicate_against("sharded", primary, 22);
-}
-
-#[test]
-fn hierarchical_backend_replica_matches_primary() {
-    let mut r = rng(9203);
-    let graph = generators::connected_gnp(120, 0.06, &mut r);
-    let options = HierarchicalOptions {
-        plan: ShardPlanOptions {
-            shards: 4,
-            ..ShardPlanOptions::default()
-        },
-        ..HierarchicalOptions::default()
-    };
-    let primary = HierarchicalOracle::build(graph, SpannerParams::vertex(2, 2), options);
-    replicate_against("hierarchical", primary, 23);
 }
 
 /// A weighted family: replicated distances must agree off unit weights

@@ -13,8 +13,8 @@ use ftspan::{sample_fault_set, FaultModel, SpannerParams};
 use ftspan_graph::{generators, vid, Graph};
 use ftspan_integration_tests::rng;
 use ftspan_oracle::{
-    Answer, ChurnConfig, FaultOracle, HierarchicalOptions, HierarchicalOracle, OracleOptions,
-    Query, ShardPlanOptions, ShardedOptions, ShardedOracle,
+    Answer, ChurnConfig, FaultOracle, OracleOptions, Query, ShardPlanOptions, ShardedOptions,
+    ShardedOracle,
 };
 use rand::Rng;
 
@@ -283,28 +283,20 @@ fn assert_answer_matches(
     }
 }
 
-/// The scale-tier contract, end to end: single oracle, flat sharded oracle,
-/// and two-level hierarchical oracle — built from the same deterministic
-/// construction over the same leaf-plan options — agree **exactly** on every
-/// query, and keep agreeing across permanent fault waves (each backend runs
-/// its own churn loop: global repair plus shard/leaf rebuild fan-out).
+/// The churn contract, end to end: the single oracle and the flat sharded
+/// oracle — built from the same deterministic construction — agree
+/// **exactly** on every query, and keep agreeing across permanent fault
+/// waves (each backend runs its own churn loop: global repair plus, for the
+/// sharded oracle, the shard rebuild fan-out).
 #[test]
-fn hierarchical_matches_flat_and_single_across_churn() {
+fn flat_matches_single_across_churn() {
     let mut r = rng(8107);
     let graph = generators::connected_gnp(140, 0.05, &mut r);
     let n = graph.vertex_count();
     let params = SpannerParams::vertex(2, 2);
-    let hier_options = HierarchicalOptions {
-        plan: ShardPlanOptions {
-            shards: 4,
-            ..ShardPlanOptions::default()
-        },
-        ..HierarchicalOptions::default()
-    };
 
     let mut single = FaultOracle::build(graph.clone(), params, OracleOptions::default());
-    let mut flat = ShardedOracle::build(graph.clone(), params, hier_options.flat());
-    let mut hier = HierarchicalOracle::build(graph, params, hier_options);
+    let mut flat = ShardedOracle::build(graph, params, sharded_options(4));
     let config = ChurnConfig::default();
 
     for wave_round in 0..4usize {
@@ -312,11 +304,6 @@ fn hierarchical_matches_flat_and_single_across_churn() {
             single.spanner().edge_count(),
             flat.spanner().edge_count(),
             "wave {wave_round}: flat spanner diverged"
-        );
-        assert_eq!(
-            single.spanner().edge_count(),
-            hier.spanner().edge_count(),
-            "wave {wave_round}: hierarchical spanner diverged"
         );
 
         for query_round in 0..12usize {
@@ -340,37 +327,22 @@ fn hierarchical_matches_flat_and_single_across_churn() {
                     &expected,
                     &flat.answer(&query),
                 );
-                assert_answer_matches(
-                    "hier",
-                    round,
-                    hier.spanner(),
-                    &query,
-                    &expected,
-                    &hier.answer(&query),
-                );
             }
         }
 
-        // Permanent damage: the same wave hits all three backends, each of
-        // which repairs through its own churn path.
+        // Permanent damage: the same wave hits both backends, each of which
+        // repairs through its own churn path.
         let wave = sample_fault_set(single.graph(), FaultModel::Vertex, 2, &[], &mut r);
         let single_outcome = single.apply_wave(&wave, &config);
         let flat_outcome = flat.apply_wave(&wave, &config);
-        let hier_outcome = hier.apply_wave(&wave, &config);
         assert_eq!(
             single_outcome.edges_added, flat_outcome.global.edges_added,
             "wave {wave_round}: flat repair diverged"
         );
-        assert_eq!(
-            single_outcome.edges_added, hier_outcome.global.edges_added,
-            "wave {wave_round}: hierarchical repair diverged"
-        );
     }
 
-    // Traffic must actually exercise both scaling layers, not just the
+    // Traffic must actually exercise the sharding layer, not just the
     // global fallback.
     let flat_snap = flat.metrics().snapshot();
     assert!(flat_snap.local + flat_snap.stitched > 0);
-    let hier_snap = hier.metrics().snapshot();
-    assert!(hier_snap.local + hier_snap.stitched > 0);
 }
