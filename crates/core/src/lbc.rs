@@ -205,10 +205,17 @@ struct TreeKey {
 ///   vertex model ⇒ immediate `NO`, otherwise the tree path seeds the
 ///   fault-set rounds — all without re-running the pass.
 ///
+/// Every search stops one layer short: the shared tree stores the first
+/// `t − 1` layers from the source, and each candidate's target at depth `t`
+/// is resolved from the target's own side (its earliest-discovered live
+/// neighbour becomes its parent), as is the target of every later round's
+/// early-exit search. See [`HopBfsScratch`] for why that is exactly the
+/// parent a full-expansion BFS assigns.
+///
 /// Decisions (and `YES` certificates) are **bit-identical** to the
-/// from-scratch functions: the shared tree records exactly the parents an
-/// early-exit search would (see [`HopBfsScratch`]), and every later round
-/// runs the same search over an identically-filtered view. Only
+/// from-scratch functions: the shared tree, last layer included, yields
+/// exactly the paths an early-exit search would, and every later round runs
+/// the same search over an identically-filtered view. Only
 /// [`LbcStats::bfs_runs`] can be lower, since shared passes are counted
 /// once.
 ///
@@ -290,7 +297,7 @@ pub fn decide_vertex_lbc_with(
         cut_vertices,
         ..
     } = scratch;
-    if tree.tree_dist(v).is_none() {
+    if tree.tree_dist(graph, v).is_none() {
         // No u–v path of ≤ t hops exists with zero faults applied: the
         // from-scratch first round would answer YES with the empty cut.
         return (LbcDecision::Yes(FaultSet::vertices([])), stats);
@@ -299,7 +306,7 @@ pub fn decide_vertex_lbc_with(
     let mut view = faults.view(graph);
     for round in 0..=alpha {
         let found = if round == 0 {
-            tree.tree_path_into(v, path)
+            tree.tree_path_into(graph, v, path)
         } else {
             stats.bfs_runs += 1;
             search.find_path_into(&view, u, v, t, path)
@@ -350,14 +357,14 @@ pub fn decide_edge_lbc_with(
         cut_edges,
         ..
     } = scratch;
-    if tree.tree_dist(v).is_none() {
+    if tree.tree_dist(graph, v).is_none() {
         return (LbcDecision::Yes(FaultSet::edges([])), stats);
     }
     cut_edges.clear();
     let mut view = faults.view(graph);
     for round in 0..=alpha {
         let found = if round == 0 {
-            tree.tree_path_into(v, path)
+            tree.tree_path_into(graph, v, path)
         } else {
             stats.bfs_runs += 1;
             search.find_path_into(&view, u, v, t, path)

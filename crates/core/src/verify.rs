@@ -11,6 +11,7 @@
 //! sampled mode mixing uniformly random fault sets with targeted "attack"
 //! sets that fault the interior of current shortest paths in `H`.
 
+use ftspan_graph::bfs::{HopBfsScratch, HopPath};
 use ftspan_graph::dijkstra::DijkstraScratch;
 use ftspan_graph::{FaultView, Graph, GraphView, VertexId};
 use rand::rngs::StdRng;
@@ -101,8 +102,13 @@ pub fn verify_spanner(
 /// Like [`verify_spanner`] but running every shortest-path computation on
 /// caller-owned [`DijkstraScratch`] buffers — the form churn loops use,
 /// verifying after every wave without re-growing per-run state. The report
-/// is identical to [`verify_spanner`]'s (unit-weight views take the
-/// bucket-queue lane either way; its distances are bit-identical).
+/// is identical to [`verify_spanner`]'s.
+///
+/// On unit-weight graphs each checked pair is first settled by one
+/// ≤ `(2k − 1)`-hop search in `H \ F`; the per-source distance pass runs
+/// only for pairs without such a path, so `observed`, `max_stretch` and
+/// every [`Violation`] equal those of a full distance pass. Weighted graphs
+/// run the per-source Dijkstra passes as before.
 ///
 /// # Panics
 ///
@@ -122,8 +128,17 @@ pub fn verify_spanner_with(
     );
     let fault_sets = fault_sets_for_mode(graph, spanner, params, &mode);
     let mut report = VerificationReport::default();
+    let mut hops = HopBfsScratch::new();
     for fault_set in &fault_sets {
-        check_fault_set(graph, spanner, params, fault_set, scratch, &mut report);
+        check_fault_set(
+            graph,
+            spanner,
+            params,
+            fault_set,
+            scratch,
+            &mut hops,
+            &mut report,
+        );
     }
     report
 }
@@ -138,8 +153,15 @@ pub fn verify_under_fault_set(
     fault_set: &FaultSet,
 ) -> VerificationReport {
     let mut report = VerificationReport::default();
-    let mut scratch = DijkstraScratch::new();
-    check_fault_set(graph, spanner, params, fault_set, &mut scratch, &mut report);
+    check_fault_set(
+        graph,
+        spanner,
+        params,
+        fault_set,
+        &mut DijkstraScratch::new(),
+        &mut HopBfsScratch::new(),
+        &mut report,
+    );
     report
 }
 
@@ -150,13 +172,13 @@ pub fn verify_under_fault_set(
 pub fn fault_free_stretch(graph: &Graph, spanner: &Graph) -> f64 {
     let params = SpannerParams::vertex(1, 0);
     let mut report = VerificationReport::default();
-    let mut scratch = DijkstraScratch::new();
     check_fault_set(
         graph,
         spanner,
         params,
         &FaultSet::empty(FaultModel::Vertex),
-        &mut scratch,
+        &mut DijkstraScratch::new(),
+        &mut HopBfsScratch::new(),
         &mut report,
     );
     report.max_stretch
@@ -282,6 +304,7 @@ fn check_fault_set(
     params: SpannerParams,
     fault_set: &FaultSet,
     scratch: &mut DijkstraScratch,
+    hops: &mut HopBfsScratch,
     report: &mut VerificationReport,
 ) {
     report.fault_sets_checked += 1;
@@ -297,6 +320,14 @@ fn check_fault_set(
     // G-edge. Cache per-source Dijkstra runs lazily.
     let mut h_dist_cache: Vec<Option<Vec<f64>>> = vec![None; graph.vertex_count()];
     let mut g_dist_cache: Vec<Option<Vec<f64>>> = vec![None; graph.vertex_count()];
+
+    // Unit weights: every checked edge allows exactly `stretch` hops, and an
+    // `H \ F` distance is a hop count, so one ≤ `stretch`-hop pair search
+    // settles the pair whenever it finds a path. The full distance pass
+    // runs only for pairs it cannot settle (a violation, or a stretch above
+    // the bound), keeping `observed` exact.
+    let hop_lane = graph.is_unit_weighted() && spanner.is_unit_weighted();
+    let mut path = HopPath::default();
 
     for (edge_id, edge) in graph.edges() {
         let (u, v) = edge.endpoints();
@@ -316,9 +347,13 @@ fn check_fault_set(
                 continue;
             }
         }
-        let dist_h =
-            h_dist_cache[u.index()].get_or_insert_with(|| scratch.distances(&view_h, u).to_vec());
-        let observed = dist_h[v.index()];
+        let observed =
+            if hop_lane && hops.find_path_into(&view_h, u, v, params.stretch(), &mut path) {
+                path.hop_count() as f64
+            } else {
+                h_dist_cache[u.index()]
+                    .get_or_insert_with(|| scratch.distances(&view_h, u).to_vec())[v.index()]
+            };
         let allowed = stretch * edge.weight();
         report.pairs_checked += 1;
         if observed.is_finite() && edge.weight() > 0.0 {
@@ -577,6 +612,114 @@ mod tests {
         // survives in G\F but is disconnected in H\F.
         assert!(!report.is_valid());
         assert_eq!(report.fault_sets_checked, 1);
+    }
+
+    /// The full-distance checker the hop lane must reproduce: a
+    /// single-source distance pass in `H \ F` from every checked pair's
+    /// first endpoint, no hop-bounded shortcut.
+    fn full_distance_report(
+        graph: &Graph,
+        spanner: &Graph,
+        params: SpannerParams,
+        mode: &VerificationMode,
+    ) -> VerificationReport {
+        let stretch = f64::from(params.stretch());
+        let mut report = VerificationReport::default();
+        for fault_set in &fault_sets_for_mode(graph, spanner, params, mode) {
+            report.fault_sets_checked += 1;
+            let view_g = fault_set.apply(graph);
+            let spanner_faults = fault_set.translate_edges(graph, spanner);
+            let view_h = spanner_faults.apply(spanner);
+            let mut dist_h: Vec<Option<Vec<f64>>> = vec![None; graph.vertex_count()];
+            for (edge_id, edge) in graph.edges() {
+                let (u, v) = edge.endpoints();
+                if !view_g.contains_vertex(u)
+                    || !view_g.contains_vertex(v)
+                    || fault_set.contains_edge(edge_id)
+                {
+                    continue;
+                }
+                let observed = dist_h[u.index()]
+                    .get_or_insert_with(|| ftspan_graph::dijkstra::dijkstra_distances(&view_h, u))
+                    [v.index()];
+                report.pairs_checked += 1;
+                if observed.is_finite() {
+                    report.max_stretch = report.max_stretch.max(observed / edge.weight());
+                }
+                if observed > stretch * edge.weight() + 1e-9 {
+                    report.violations.push(Violation {
+                        fault_set: fault_set.clone(),
+                        u,
+                        v,
+                        allowed: stretch * edge.weight(),
+                        observed: observed.is_finite().then_some(observed),
+                    });
+                }
+            }
+        }
+        report
+    }
+
+    fn assert_reports_equal(got: &VerificationReport, want: &VerificationReport, ctx: &str) {
+        assert_eq!(got.fault_sets_checked, want.fault_sets_checked, "{ctx}");
+        assert_eq!(got.pairs_checked, want.pairs_checked, "{ctx}");
+        assert_eq!(
+            got.max_stretch.to_bits(),
+            want.max_stretch.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(got.violations.len(), want.violations.len(), "{ctx}");
+        for (a, b) in got.violations.iter().zip(&want.violations) {
+            assert_eq!(a.fault_set, b.fault_set, "{ctx}");
+            assert_eq!((a.u, a.v), (b.u, b.v), "{ctx}");
+            assert_eq!(a.allowed.to_bits(), b.allowed.to_bits(), "{ctx}");
+            assert_eq!(
+                a.observed.map(f64::to_bits),
+                b.observed.map(f64::to_bits),
+                "{ctx}"
+            );
+        }
+    }
+
+    #[test]
+    fn hop_lane_reports_match_the_full_distance_reference() {
+        let mut violating = 0;
+        for seed in 0..3u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::connected_gnp(16, 0.3, &mut rng);
+            for params in [
+                SpannerParams::vertex(2, 1),
+                SpannerParams::vertex(2, 2),
+                SpannerParams::edge(2, 1),
+                SpannerParams::vertex(3, 1),
+                SpannerParams::edge(3, 2),
+            ] {
+                let built = crate::poly_greedy_spanner(&g, params).spanner;
+                // The built spanner, and two thinned on purpose so that
+                // violations (finite and disconnected) occur.
+                let spanners = [
+                    built.clone(),
+                    built.edge_subgraph(built.edge_ids().filter(|e| e.index() % 3 != 0)),
+                    built.edge_subgraph(built.edge_ids().filter(|e| e.index() % 2 == 0)),
+                ];
+                for (which, h) in spanners.iter().enumerate() {
+                    for mode in [
+                        VerificationMode::Exhaustive,
+                        VerificationMode::Sampled {
+                            samples: 12,
+                            seed: seed + 100,
+                        },
+                    ] {
+                        let ctx = format!("seed {seed} {params:?} spanner {which} {mode:?}");
+                        let want = full_distance_report(&g, h, params, &mode);
+                        let got = verify_spanner(&g, h, params, mode);
+                        assert_reports_equal(&got, &want, &ctx);
+                        violating += usize::from(!want.is_valid());
+                    }
+                }
+            }
+        }
+        assert!(violating > 5, "thinned spanners must exercise violations");
     }
 
     #[test]

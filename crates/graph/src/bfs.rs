@@ -135,10 +135,11 @@ pub fn shortest_hop_path<V: GraphView>(
 /// `target`, or `None` if every path needs more than `max_hops` hops (or the
 /// endpoints are disconnected / faulted).
 ///
-/// The search stops expanding once the BFS frontier exceeds `max_hops`, so the
-/// running time is `O(m + n)` in the worst case but typically much less for
-/// small `max_hops` — this is the primitive called `O(α)` times per edge by
-/// the paper's Algorithm 2.
+/// The search expands only the first `max_hops − 1` BFS layers from `source`
+/// and resolves the last one from `target`'s adjacency (see
+/// [`HopBfsScratch`]), so the running time is `O(m + n)` in the worst case
+/// but typically much less for small `max_hops` — this is the primitive
+/// called `O(α)` times per edge by the paper's Algorithm 2.
 #[must_use]
 pub fn shortest_hop_path_within<V: GraphView>(
     view: &V,
@@ -285,24 +286,47 @@ impl BfsScratch {
 ///   candidates sharing a source (and an unchanged graph) are all decided
 ///   against one pass.
 ///
-/// Bit-identity of the two modes: BFS assigns each vertex its parent at
-/// first discovery and never reassigns it, and the discovery order is fully
-/// determined by the view's neighbor order. The early-exit search merely
-/// stops expanding once the target is discovered, so every vertex discovered
-/// before that point — in particular the whole parent chain of the target —
-/// carries exactly the parent the full tree records. Paths extracted from
-/// either mode are therefore identical, which is what lets the incremental
-/// engine swap one for the other without changing any decision.
+/// **Last-layer resolution.** Neither mode expands the last layer. A search
+/// within `t` hops discovers only the first `t − 1` layers from the source;
+/// a target not found there is resolved from its own side: among its live
+/// neighbours, the one discovered earliest (all of them sit at depth
+/// `t − 1`) becomes its parent. The last layer is the largest, so this
+/// replaces a scan of every depth-`(t − 1)` adjacency list with a scan of
+/// one.
+///
+/// Bit-identity: BFS assigns each vertex its parent at first discovery and
+/// never reassigns it, and the discovery order is fully determined by the
+/// view's neighbour order. The early-exit search merely stops expanding
+/// once the target is discovered, so every vertex discovered before that
+/// point — in particular the whole parent chain of the target — carries
+/// exactly the parent a full tree records. For a target at depth `t`, a
+/// full BFS pops the depth-`(t − 1)` vertices in discovery order and the
+/// first one adjacent to the target discovers it, through their (unique,
+/// since graphs are simple) edge; the views filter edges symmetrically, so
+/// that vertex is exactly the earliest-discovered live neighbour the
+/// target-side scan picks. A target at depth below `t − 1` would have been
+/// discovered during expansion, so none of its neighbours can be shallower.
+/// Paths extracted from either mode, with or without last-layer
+/// resolution, are therefore identical to a textbook full-expansion BFS,
+/// which is what lets the incremental engine swap one for the other
+/// without changing any decision.
 #[derive(Clone, Debug, Default)]
 pub struct HopBfsScratch {
     /// Set ⇔ the vertex was discovered by the current search.
     mark: crate::EpochMarks,
     dist: Vec<u32>,
+    /// Discovery rank within the current search (BFS queue order).
+    order: Vec<u32>,
     parent_vertex: Vec<u32>,
     parent_edge: Vec<u32>,
     queue: VecDeque<VertexId>,
+    /// Vertices discovered by the current search so far.
+    discovered_count: u32,
     /// Source of the tree currently held (see [`HopBfsScratch::build_tree`]).
     tree_source: Option<VertexId>,
+    /// Hop budget of the tree currently held: its first `tree_hops − 1`
+    /// layers are stored, the last one is resolved per query.
+    tree_hops: u32,
 }
 
 impl HopBfsScratch {
@@ -319,10 +343,12 @@ impl HopBfsScratch {
         let backed = self.mark.len();
         if self.dist.len() < backed {
             self.dist.resize(backed, 0);
+            self.order.resize(backed, 0);
             self.parent_vertex.resize(backed, 0);
             self.parent_edge.resize(backed, 0);
         }
         self.queue.clear();
+        self.discovered_count = 0;
         self.tree_source = None;
     }
 
@@ -336,17 +362,65 @@ impl HopBfsScratch {
         let i = v.index();
         self.mark.set(i);
         self.dist[i] = dist;
+        self.order[i] = self.discovered_count;
+        self.discovered_count += 1;
         if let Some((pv, pe)) = parent {
             self.parent_vertex[i] = pv.as_u32();
             self.parent_edge[i] = pe.index() as u32;
         }
     }
 
+    /// Discovers every vertex within `max_hops − 1` hops of `source` (the
+    /// source itself when `max_hops ≤ 1`), in BFS order. With a `stop_at`
+    /// target the search ends as soon as that vertex is discovered, and the
+    /// return value says whether it was.
+    fn expand_inner_layers<V: GraphView>(
+        &mut self,
+        view: &V,
+        source: VertexId,
+        max_hops: u32,
+        stop_at: Option<VertexId>,
+    ) -> bool {
+        self.discover(source, 0, None);
+        let deepest = max_hops.saturating_sub(1);
+        if deepest == 0 {
+            return false;
+        }
+        self.queue.push_back(source);
+        while let Some(u) = self.queue.pop_front() {
+            let dv = self.dist[u.index()] + 1;
+            for (v, e) in view.neighbors(u) {
+                if !self.discovered(v) {
+                    self.discover(v, dv, Some((u, e)));
+                    if stop_at == Some(v) {
+                        return true;
+                    }
+                    if dv < deepest {
+                        self.queue.push_back(v);
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Resolves a target left undiscovered by [`Self::expand_inner_layers`]
+    /// from its own side: its earliest-discovered live neighbour and their
+    /// edge, i.e. the parent a full BFS would give it one layer deeper.
+    /// `None` when no live neighbour was discovered (the target lies more
+    /// than one layer beyond the stored ones, or is faulted).
+    fn last_hop<V: GraphView>(&self, view: &V, target: VertexId) -> Option<(VertexId, EdgeId)> {
+        view.neighbors(target)
+            .filter(|&(w, _)| self.discovered(w))
+            .min_by_key(|&(w, _)| self.order[w.index()])
+    }
+
     /// Finds a shortest hop path of at most `max_hops` edges from `source`
     /// to `target`, writing it into `out` and returning `true`, or returns
     /// `false` when no such path exists. The search and the found path are
     /// bit-identical to [`shortest_hop_path_within`]; only the storage is
-    /// pooled.
+    /// pooled. The first `max_hops − 1` layers are expanded from `source`
+    /// and the last one is resolved from `target` (see the type docs).
     pub fn find_path_into<V: GraphView>(
         &mut self,
         view: &V,
@@ -368,56 +442,35 @@ impl HopBfsScratch {
             return false;
         }
         self.begin(view.vertex_count());
-        self.discover(source, 0, None);
-        self.queue.push_back(source);
-        'search: while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u.index()];
-            if du >= max_hops {
-                continue;
+        let last_hop = if self.expand_inner_layers(view, source, max_hops, Some(target)) {
+            None
+        } else {
+            match self.last_hop(view, target) {
+                Some(hop) => Some(hop),
+                None => return false,
             }
-            for (v, e) in view.neighbors(u) {
-                if !self.discovered(v) {
-                    self.discover(v, du + 1, Some((u, e)));
-                    if v == target {
-                        break 'search;
-                    }
-                    self.queue.push_back(v);
-                }
-            }
-        }
-        if !self.discovered(target) {
-            return false;
-        }
-        self.reconstruct_into(source, target, out);
+        };
+        self.reconstruct_into(source, target, last_hop, out);
         true
     }
 
-    /// Runs one hop-bounded BFS from `source`, keeping the whole tree in the
+    /// Runs one hop-bounded BFS from `source`, keeping the tree in the
     /// scratch. Afterwards [`HopBfsScratch::tree_dist`] answers the hop
-    /// distance to every vertex and [`HopBfsScratch::tree_path_into`]
-    /// extracts paths — this is the "decide several same-source candidates
-    /// per pass" primitive. The tree is valid until the next search on this
+    /// distance to every vertex within `max_hops` and
+    /// [`HopBfsScratch::tree_path_into`] extracts paths — this is the
+    /// "decide several same-source candidates per pass" primitive. Only the
+    /// first `max_hops − 1` layers are stored; both queries resolve the
+    /// last layer from the target's side, so they take the view the tree
+    /// was built on. The tree is valid until the next search on this
     /// scratch.
     pub fn build_tree<V: GraphView>(&mut self, view: &V, source: VertexId, max_hops: u32) {
         self.begin(view.vertex_count());
         if !view.contains_vertex(source) {
             return;
         }
-        self.discover(source, 0, None);
+        self.expand_inner_layers(view, source, max_hops, None);
         self.tree_source = Some(source);
-        self.queue.push_back(source);
-        while let Some(u) = self.queue.pop_front() {
-            let du = self.dist[u.index()];
-            if du >= max_hops {
-                continue;
-            }
-            for (v, e) in view.neighbors(u) {
-                if !self.discovered(v) {
-                    self.discover(v, du + 1, Some((u, e)));
-                    self.queue.push_back(v);
-                }
-            }
-        }
+        self.tree_hops = max_hops;
     }
 
     /// Source of the currently held tree, if any.
@@ -426,42 +479,78 @@ impl HopBfsScratch {
         self.tree_source
     }
 
+    /// The stored tree vertex `v`, or its resolved last-layer parent:
+    /// `Some(None)` when `v` is stored, `Some(Some(hop))` when it lies on
+    /// the last layer, `None` when it is outside the hop budget (or
+    /// unreachable, faulted, out of range, or no tree is held).
+    fn tree_lookup<V: GraphView>(
+        &self,
+        view: &V,
+        v: VertexId,
+    ) -> Option<Option<(VertexId, EdgeId)>> {
+        self.tree_source?;
+        if v.index() >= view.vertex_count().min(self.mark.len()) {
+            return None;
+        }
+        if self.discovered(v) {
+            return Some(None);
+        }
+        if self.tree_hops == 0 {
+            return None;
+        }
+        self.last_hop(view, v).map(Some)
+    }
+
     /// Hop distance from the tree's source to `v`, or `None` when `v` was
     /// out of the hop budget (or unreachable, or faulted, or no tree is
-    /// held).
+    /// held). `view` must be the view the tree was built on.
     #[must_use]
-    pub fn tree_dist(&self, v: VertexId) -> Option<u32> {
-        self.tree_source?;
-        (v.index() < self.mark.len() && self.discovered(v)).then(|| self.dist[v.index()])
+    pub fn tree_dist<V: GraphView>(&self, view: &V, v: VertexId) -> Option<u32> {
+        match self.tree_lookup(view, v)? {
+            None => Some(self.dist[v.index()]),
+            Some(_) => Some(self.tree_hops),
+        }
     }
 
     /// Extracts the tree path from the source to `target` into `out`,
     /// returning `true` on success (`false` when `target` is outside the
     /// tree). The path equals the one an early-exit search
     /// ([`HopBfsScratch::find_path_into`] / [`shortest_hop_path_within`])
-    /// from the same source would find.
-    pub fn tree_path_into(&self, target: VertexId, out: &mut HopPath) -> bool {
+    /// from the same source would find. `view` must be the view the tree
+    /// was built on.
+    pub fn tree_path_into<V: GraphView>(
+        &self,
+        view: &V,
+        target: VertexId,
+        out: &mut HopPath,
+    ) -> bool {
         out.vertices.clear();
         out.edges.clear();
-        let Some(source) = self.tree_source else {
+        let Some(last_hop) = self.tree_lookup(view, target) else {
             return false;
         };
-        if target.index() >= self.mark.len() || !self.discovered(target) {
-            return false;
-        }
-        if source == target {
-            out.vertices.push(source);
-            return true;
-        }
-        self.reconstruct_into(source, target, out);
+        let source = self.tree_source.expect("a tree lookup succeeded");
+        self.reconstruct_into(source, target, last_hop, out);
         true
     }
 
-    /// Walks parent pointers from `target` back to `source`, writing the
-    /// forward-ordered path into `out`.
-    fn reconstruct_into(&self, source: VertexId, target: VertexId, out: &mut HopPath) {
+    /// Walks parent pointers from `target` back to `source` — through the
+    /// resolved `last_hop` first, when the target lies on the unstored last
+    /// layer — writing the forward-ordered path into `out`.
+    fn reconstruct_into(
+        &self,
+        source: VertexId,
+        target: VertexId,
+        last_hop: Option<(VertexId, EdgeId)>,
+        out: &mut HopPath,
+    ) {
         out.vertices.push(target);
         let mut cur = target;
+        if let Some((parent, edge)) = last_hop {
+            out.edges.push(edge);
+            out.vertices.push(parent);
+            cur = parent;
+        }
         while cur != source {
             let prev = VertexId::new(self.parent_vertex[cur.index()] as usize);
             out.edges
@@ -714,10 +803,10 @@ mod tests {
         for t in 0..9 {
             let reference = shortest_hop_path_within(&g, vid(0), vid(t), 3);
             assert_eq!(
-                tree.tree_dist(vid(t)),
+                tree.tree_dist(&g, vid(t)),
                 reference.as_ref().map(|p| p.hop_count() as u32)
             );
-            let found = tree.tree_path_into(vid(t), &mut out);
+            let found = tree.tree_path_into(&g, vid(t), &mut out);
             assert_eq!(found, reference.is_some());
             if let Some(p) = reference {
                 assert_eq!(out, p);
@@ -730,20 +819,20 @@ mod tests {
         let g = path_graph(6);
         let mut tree = HopBfsScratch::new();
         tree.build_tree(&g, vid(0), 3);
-        assert_eq!(tree.tree_dist(vid(3)), Some(3));
-        assert_eq!(tree.tree_dist(vid(4)), None);
+        assert_eq!(tree.tree_dist(&g, vid(3)), Some(3));
+        assert_eq!(tree.tree_dist(&g, vid(4)), None);
 
         let mut view = FaultView::new(&g);
         view.block_vertex(vid(2));
         tree.build_tree(&view, vid(0), 5);
-        assert_eq!(tree.tree_dist(vid(1)), Some(1));
-        assert_eq!(tree.tree_dist(vid(3)), None);
+        assert_eq!(tree.tree_dist(&view, vid(1)), Some(1));
+        assert_eq!(tree.tree_dist(&view, vid(3)), None);
 
         // Faulted source: empty tree.
         tree.build_tree(&view, vid(2), 5);
-        assert_eq!(tree.tree_dist(vid(2)), None);
+        assert_eq!(tree.tree_dist(&view, vid(2)), None);
         let mut out = HopPath::default();
-        assert!(!tree.tree_path_into(vid(2), &mut out));
+        assert!(!tree.tree_path_into(&view, vid(2), &mut out));
     }
 
     #[test]
@@ -758,10 +847,10 @@ mod tests {
         assert_eq!(out.hop_count(), 2);
         // A fresh search invalidates the previous tree.
         scratch.build_tree(&big, vid(0), 4);
-        assert_eq!(scratch.tree_dist(vid(4)), Some(4));
+        assert_eq!(scratch.tree_dist(&big, vid(4)), Some(4));
         assert!(scratch.find_path_into(&big, vid(1), vid(2), 3, &mut out));
         assert_eq!(scratch.tree_source(), None);
-        assert_eq!(scratch.tree_dist(vid(4)), None);
+        assert_eq!(scratch.tree_dist(&big, vid(4)), None);
     }
 
     #[test]

@@ -30,16 +30,16 @@ use ftspan::repair::{
 use ftspan::verify::{verify_spanner_with, VerificationMode};
 use ftspan::wire::encode_fault_set;
 use ftspan::{EdgeCertificate, FaultSet};
-use ftspan_graph::bfs::BfsScratch;
+use ftspan_graph::bfs::{BfsScratch, HopBfsScratch, HopPath};
 use ftspan_graph::dijkstra::DijkstraScratch;
 use ftspan_graph::wire::{fnv1a64, WireWriter};
 use ftspan_graph::{EdgeId, Graph, VertexId};
 
 /// Pooled buffers for one oracle's churn loop, owned by the
 /// [`FaultOracle`] and reused across waves: BFS frontiers (seeding, halo
-/// and candidate collection), Dijkstra/Dial state (violation detection),
-/// per-source distance caches, and the incremental-LBC
-/// [`RepairScratch`] the localized respan runs on.
+/// and candidate collection), hop-bounded pair searches and Dijkstra state
+/// (violation detection), per-source distance caches, and the
+/// incremental-LBC [`RepairScratch`] the localized respan runs on.
 ///
 /// Before this existed, every wave re-allocated all of the above
 /// proportionally to the *graph* — the damage-proportional work Rozhoň–
@@ -49,6 +49,9 @@ use ftspan_graph::{EdgeId, Graph, VertexId};
 #[derive(Debug, Default)]
 pub(crate) struct WaveScratch {
     bfs: BfsScratch,
+    /// Hop-bounded pair searches of unit-weight broken-pair detection.
+    hops: HopBfsScratch,
+    path: HopPath,
     dijkstra: DijkstraScratch,
     repair: RepairScratch,
     /// Lazily filled per-source distance caches of broken-pair detection,
@@ -232,7 +235,7 @@ impl FaultOracle {
         let broken_pairs = detect_broken_pairs(
             &new_graph,
             &new_spanner,
-            self.stretch_bound(),
+            self.params.stretch(),
             &seeds,
             radius,
             &mut scratch,
@@ -630,17 +633,18 @@ impl ShardedOracle {
 
 /// Checks the Lemma-3 pairs (surviving graph edges) whose endpoints lie
 /// within `radius` hops of a seed: a pair is broken when
-/// `d_{H'}(u, v) > (2k − 1) · w(u, v)` (with the usual weighted restriction
-/// to edges that are themselves shortest paths).
+/// `d_{H'}(u, v) > stretch · w(u, v)` with `stretch = 2k − 1` (and the
+/// usual weighted restriction to edges that are themselves shortest paths).
 ///
-/// All shortest-path state runs on the pooled [`WaveScratch`]: the Dial
-/// lane for unit-weight graphs, epoch-stamped per-source distance caches
-/// instead of per-wave hash maps of cloned trees. The reported pairs are
-/// identical to a from-scratch computation.
+/// On unit-weight graphs a pair is broken exactly when `H'` has no `u`–`v`
+/// path of at most `stretch` hops, so each pair costs one hop-bounded pair
+/// search on the pooled [`WaveScratch`]. Weighted graphs run per-source
+/// Dijkstra passes into epoch-stamped distance caches. The reported pairs
+/// are identical to a from-scratch full-distance computation.
 fn detect_broken_pairs(
     graph: &Graph,
     spanner: &Graph,
-    stretch: f64,
+    stretch: u32,
     seeds: &[VertexId],
     radius: u32,
     scratch: &mut WaveScratch,
@@ -649,6 +653,7 @@ fn detect_broken_pairs(
         .bfs
         .multi_source_hop_distances(graph, seeds.iter().copied(), radius);
 
+    let unit = graph.is_unit_weighted() && spanner.is_unit_weighted();
     scratch.spanner_dist.begin(graph.vertex_count());
     scratch.graph_dist.begin(graph.vertex_count());
     let mut broken = Vec::new();
@@ -657,16 +662,21 @@ fn detect_broken_pairs(
         if near[u.index()].is_none() && near[v.index()].is_none() {
             continue;
         }
-        // Weighted Lemma-3 restriction: only edges that are shortest paths
-        // in G' constrain the spanner.
-        if !graph.is_unit_weighted() {
+        let is_broken = if unit {
+            !scratch
+                .hops
+                .find_path_into(spanner, u, v, stretch, &mut scratch.path)
+        } else {
+            // Weighted Lemma-3 restriction: only edges that are shortest
+            // paths in G' constrain the spanner.
             let dist = scratch.graph_dist.get(&mut scratch.dijkstra, graph, u);
             if dist[v.index()] + 1e-9 < edge.weight() {
                 continue;
             }
-        }
-        let dist = scratch.spanner_dist.get(&mut scratch.dijkstra, spanner, u);
-        if dist[v.index()] > stretch * edge.weight() + 1e-9 {
+            let dist = scratch.spanner_dist.get(&mut scratch.dijkstra, spanner, u);
+            dist[v.index()] > f64::from(stretch) * edge.weight() + 1e-9
+        };
+        if is_broken {
             broken.push((u, v));
         }
     }
@@ -903,6 +913,65 @@ mod tests {
         }
     }
 
+    /// The full-distance detector the hop-search lane must reproduce: one
+    /// single-source distance pass in `H'` per checked pair.
+    fn full_distance_broken_pairs(
+        graph: &Graph,
+        spanner: &Graph,
+        stretch: u32,
+        seeds: &[VertexId],
+        radius: u32,
+    ) -> Vec<(VertexId, VertexId)> {
+        let near: Vec<bool> = (0..graph.vertex_count())
+            .map(|i| {
+                seeds.iter().any(|&s| {
+                    ftspan_graph::bfs::hop_distance(graph, s, vid(i)).is_some_and(|d| d <= radius)
+                })
+            })
+            .collect();
+        graph
+            .edges()
+            .map(|(_, edge)| edge.endpoints())
+            .filter(|&(u, v)| near[u.index()] || near[v.index()])
+            .filter(|&(u, v)| {
+                ftspan_graph::dijkstra::dijkstra_distances(spanner, u)[v.index()]
+                    > f64::from(stretch) + 1e-9
+            })
+            .collect()
+    }
+
+    #[test]
+    fn broken_pairs_match_the_full_distance_reference() {
+        let mut scratch = WaveScratch::default();
+        let mut flagged = 0;
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let g = generators::connected_gnp(40, 0.15, &mut rng);
+            for params in [SpannerParams::vertex(2, 1), SpannerParams::edge(3, 1)] {
+                let built = ftspan::poly_greedy_spanner(&g, params).spanner;
+                // Thinned on purpose so pairs break, some of them apart.
+                let spanners = [
+                    built.clone(),
+                    built.edge_subgraph(built.edge_ids().filter(|e| e.index() % 4 != 0)),
+                    built.edge_subgraph(built.edge_ids().filter(|e| e.index() % 2 == 0)),
+                ];
+                for h in &spanners {
+                    for radius in 1..=3 {
+                        let seeds: Vec<VertexId> = (0..3)
+                            .map(|i| vid((seed as usize * 7 + i * 13) % 40))
+                            .collect();
+                        let stretch = params.stretch();
+                        let want = full_distance_broken_pairs(&g, h, stretch, &seeds, radius);
+                        let got = detect_broken_pairs(&g, h, stretch, &seeds, radius, &mut scratch);
+                        assert_eq!(got, want, "seed {seed} {params:?} radius {radius}");
+                        flagged += want.len();
+                    }
+                }
+            }
+        }
+        assert!(flagged > 20, "thinned spanners must break pairs");
+    }
+
     #[test]
     fn detect_broken_pairs_flags_destroyed_detours() {
         // Cycle C6: spanner = the cycle minus one edge is NOT a valid
@@ -911,9 +980,9 @@ mod tests {
         let spanner = g.edge_subgraph(g.edge_ids().take(5));
         let seeds = vec![vid(0), vid(5)];
         let mut scratch = WaveScratch::default();
-        let broken = detect_broken_pairs(&g, &spanner, 3.0, &seeds, 2, &mut scratch);
+        let broken = detect_broken_pairs(&g, &spanner, 3, &seeds, 2, &mut scratch);
         assert!(broken.contains(&(vid(5), vid(0))) || broken.contains(&(vid(0), vid(5))));
         // With the full cycle as spanner nothing is broken.
-        assert!(detect_broken_pairs(&g, &g, 3.0, &seeds, 2, &mut scratch).is_empty());
+        assert!(detect_broken_pairs(&g, &g, 3, &seeds, 2, &mut scratch).is_empty());
     }
 }

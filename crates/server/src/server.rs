@@ -760,8 +760,12 @@ fn stream_journal<O: SpannerOracle + 'static>(
         return;
     }
     let mut cursor = from_epoch;
+    // The first frame answers the subscription (the subscriber blocks on
+    // it), so it carries the backlog at once instead of waiting out a tick.
+    let mut tick = Duration::ZERO;
     while !shutdown.load(Ordering::SeqCst) {
-        let entries = journal.wait_past(cursor, Duration::from_millis(200));
+        let entries = journal.wait_past(cursor, tick);
+        tick = Duration::from_millis(200);
         if let Some(last) = entries.last() {
             cursor = last.epoch;
         }

@@ -14,6 +14,10 @@
 //!   sorts its sweep by `(weight, class, index)`, so permuting or
 //!   duplicating the candidate list must not change the rebuilt spanner,
 //!   the `added` delta, or the decision counters.
+//!
+//! Both sides here run on the same hop-bounded search, so a bug in that
+//! search would pass this suite; `hop_search_reference.rs` pins the search
+//! itself (and the decisions built on it) to a textbook full-expansion BFS.
 
 use ftspan::lbc::{decide_lbc, decide_lbc_with, LbcScratch};
 use ftspan::repair::{respan_candidates, respan_candidates_with, RepairOptions, RepairScratch};

@@ -481,3 +481,43 @@ fn dropping_the_server_does_not_hang() {
     }
     assert!(failed, "connection must observe the shutdown");
 }
+
+/// A subscription to an idle primary gets its first frame at once: the
+/// subscriber (a bootstrapping replica) blocks on that frame, so it must not
+/// wait out the stream's 200 ms heartbeat tick. Later idle frames are the
+/// heartbeats themselves.
+#[test]
+fn journal_subscribe_on_an_idle_primary_answers_before_the_heartbeat() {
+    use std::time::{Duration, Instant};
+
+    let backend = build_backend(7601);
+    let from_epoch = backend.epoch();
+    let service = OracleService::new(backend, ServiceConfig::default());
+    let server =
+        Server::start(service, "127.0.0.1:0", ServerConfig::default()).expect("server starts");
+    let addr = server.local_addr();
+
+    // The fastest of three subscriptions, so a scheduling hiccup on a busy
+    // host cannot fail the test, while a first frame that waits out the
+    // tick makes every attempt take 200 ms or more.
+    let mut fastest = Duration::MAX;
+    for _ in 0..3 {
+        let mut subscriber = Client::connect(addr).expect("subscriber connects");
+        let start = Instant::now();
+        let backlog = subscriber
+            .journal_subscribe(from_epoch)
+            .expect("subscription accepted");
+        fastest = fastest.min(start.elapsed());
+        assert!(backlog.is_empty(), "an idle primary has no backlog");
+        // The stream continues with heartbeats on idle ticks.
+        match subscriber.read_reply().expect("heartbeat frame") {
+            Reply::JournalEntries(entries) => assert!(entries.is_empty()),
+            other => panic!("unexpected stream frame: {other:?}"),
+        }
+    }
+    assert!(
+        fastest < Duration::from_millis(100),
+        "first journal frame took {fastest:?}; it must not wait for the 200 ms tick"
+    );
+    let _ = server.shutdown();
+}
